@@ -1,6 +1,7 @@
 // A12 — Ablation: batched SoA distance kernels (core/packed_set.h) vs
-// the per-pair scalar VectorDistance path, for every DistanceKind, over
-// the three hot sweep shapes behind the Fig. 2 scaling runs:
+// the per-pair scalar VectorDistance path of the test-only reference
+// library (tests/reference/hta_reference.h), for every DistanceKind,
+// over the three hot sweep shapes behind the Fig. 2 scaling runs:
 //   all_pairs   — the triangular precomputed-cache fill
 //                 (TaskDistanceOracle::Precomputed);
 //   edges       — the fused positive-weight diversity-edge emission
@@ -16,6 +17,7 @@
 #include "core/distance_oracle.h"
 #include "core/packed_set.h"
 #include "matching/max_weight_matching.h"
+#include "reference/hta_reference.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -85,21 +87,19 @@ int main() {
       // caches are identical).
       for (const size_t max_threads : {size_t{1}, size_t{0}}) {
         WallTimer timer;
-        auto scalar = TaskDistanceOracle::Precomputed(
-            &tasks, kind, size_t{4} << 30, max_threads,
-            DistanceBackend::kScalar);
+        const std::vector<float> scalar =
+            reference::ScalarDistanceTriangle(tasks, kind, max_threads);
         const double scalar_ms = timer.ElapsedMillis();
-        HTA_CHECK(scalar.ok()) << scalar.status();
         timer.Restart();
         auto batched = TaskDistanceOracle::Precomputed(
-            &tasks, kind, size_t{4} << 30, max_threads,
-            DistanceBackend::kBatched);
+            &tasks, kind, size_t{4} << 30, max_threads);
         const double batched_ms = timer.ElapsedMillis();
         HTA_CHECK(batched.ok()) << batched.status();
         for (size_t i = 0; i < tasks.size(); i += 97) {
           for (size_t j = i + 1; j < tasks.size(); j += 101) {
-            HTA_CHECK((*scalar)(static_cast<TaskIndex>(i),
-                                static_cast<TaskIndex>(j)) ==
+            HTA_CHECK(static_cast<double>(
+                          scalar[reference::TriangleIndex(tasks.size(), i,
+                                                          j)]) ==
                       (*batched)(static_cast<TaskIndex>(i),
                                  static_cast<TaskIndex>(j)))
                 << "cache mismatch at (" << i << ", " << j << ")";
@@ -112,12 +112,12 @@ int main() {
       // calls, single-thread (the acceptance configuration).
       if (n <= kEdgeSweepCap) {
         WallTimer timer;
-        const std::vector<WeightedEdge> scalar_edges = BuildDiversityEdges(
-            *oracle, /*max_threads=*/1, DistanceBackend::kScalar);
+        const std::vector<WeightedEdge> scalar_edges =
+            reference::ScalarDiversityEdges(*oracle);
         const double scalar_ms = timer.ElapsedMillis();
         timer.Restart();
-        const std::vector<WeightedEdge> batched_edges = BuildDiversityEdges(
-            *oracle, /*max_threads=*/1, DistanceBackend::kBatched);
+        const std::vector<WeightedEdge> batched_edges =
+            BuildDiversityEdges(*oracle, /*max_threads=*/1);
         const double batched_ms = timer.ElapsedMillis();
         HTA_CHECK(scalar_edges.size() == batched_edges.size());
         for (size_t e = 0; e < scalar_edges.size(); ++e) {

@@ -2,13 +2,15 @@
 // algorithms. Measures how much objective head-room HTA-GRE leaves,
 // how much of HTA-APP's advantage a few cheap refinement passes
 // recover, and what the incremental O(1)-delta evaluator buys over the
-// naive reference (which re-derives every probe from the bundles).
+// naive reference of the test-only library (which re-derives every
+// probe from the bundles, driven by the same pass loop).
 #include <iostream>
 #include <string>
 
 #include "assign/local_search.h"
 #include "assign/hta_solver.h"
 #include "bench/bench_common.h"
+#include "reference/hta_reference.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -62,31 +64,27 @@ int main() {
     HTA_CHECK(gre.ok()) << gre.status();
     add_row("hta-gre", gre->stats.motivation, 0.0, gre->stats.total_seconds);
 
-    // Refinement variants: both delta evaluators under the default
+    // Refinement variants: both delta evaluators under the one
     // deterministic scan (identical moves, so the timing ratio is the
-    // pure delta-evaluation speedup), plus the legacy serial scan.
+    // pure delta-evaluation speedup).
     struct Variant {
       const char* name;
-      LocalSearchEval eval;
-      LocalSearchScan scan;
+      bool naive;
     };
     const Variant variants[] = {
-        {"+ls incremental det-scan", LocalSearchEval::kIncremental,
-         LocalSearchScan::kDeterministicBest},
-        {"+ls incremental legacy-scan", LocalSearchEval::kIncremental,
-         LocalSearchScan::kLegacySerial},
-        {"+ls naive det-scan", LocalSearchEval::kNaiveReference,
-         LocalSearchScan::kDeterministicBest},
+        {"+ls incremental det-scan", false},
+        {"+ls naive det-scan", true},
     };
     double incremental_seconds = 0.0;
     double naive_seconds = 0.0;
     for (const Variant& v : variants) {
       LocalSearchOptions refine;
       refine.max_passes = 4;
-      refine.evaluation = v.eval;
-      refine.scan = v.scan;
       WallTimer refine_timer;
-      auto improved = ImproveAssignment(*problem, gre->assignment, refine);
+      auto improved =
+          v.naive ? reference::ImproveAssignmentNaive(*problem,
+                                                      gre->assignment, refine)
+                  : ImproveAssignment(*problem, gre->assignment, refine);
       HTA_CHECK(improved.ok()) << improved.status();
       const double seconds = refine_timer.ElapsedSeconds();
       const double passes_per_sec =
@@ -103,13 +101,7 @@ int main() {
            {"passes", bench::JsonNum(static_cast<double>(improved->passes))},
            {"motivation", bench::JsonNum(improved->motivation)}},
           seconds);
-      if (v.eval == LocalSearchEval::kIncremental &&
-          v.scan == LocalSearchScan::kDeterministicBest) {
-        incremental_seconds = seconds;
-      }
-      if (v.eval == LocalSearchEval::kNaiveReference) {
-        naive_seconds = seconds;
-      }
+      (v.naive ? naive_seconds : incremental_seconds) = seconds;
     }
     if (incremental_seconds > 0.0) {
       std::cout << "|T|=" << n << ": delta-eval speedup (naive/incremental, "

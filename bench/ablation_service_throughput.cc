@@ -60,6 +60,9 @@ AssignmentServiceOptions ServiceOptions(const ThroughputConfig& config,
   // One solver thread per shard: shards are the unit of concurrency,
   // and serial solves never contend on the global compute pool.
   options.solver_threads = 1;
+  // Warm start changes assignments (and shrinks solves); off, the
+  // measured effect is sharding alone, as in A13.
+  options.warm_start = false;
   options.seed = config.seed;
   options.event_log = event_log;
   return options;
@@ -186,12 +189,9 @@ void CheckBitIdentical(const RunOutcome& unsharded, const RunOutcome& one_shard,
 
 int main() {
   // The bench sweeps shard and thread counts itself; environment
-  // overrides would silently retarget every run. Warm start changes
-  // assignments (and shrinks solves) — pin it off so the measured
-  // effect is sharding alone, as in A13.
+  // overrides would silently retarget every run.
   unsetenv("HTA_SHARDS");
   unsetenv("HTA_DRIVER_THREADS");
-  setenv("HTA_WARM_START", "0", /*overwrite=*/1);
   bench::PrintBanner("ablation: sharded serving throughput",
                      "serving-layer scale-out (ROADMAP north star; "
                      "Section V-C deployment shape)");

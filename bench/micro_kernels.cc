@@ -1,7 +1,8 @@
 // A5 — Micro-benchmarks (google-benchmark): the hot kernels under the
 // HTA pipeline — distance computation, set-diversity evaluation, greedy
 // matching, the LSAP solvers at small n, and the local-search delta
-// evaluators (incremental tables vs the naive reference).
+// evaluators (incremental tables vs the naive reference of the
+// test-only library).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "core/motivation.h"
 #include "matching/lsap.h"
 #include "matching/max_weight_matching.h"
+#include "reference/hta_reference.h"
 #include "sim/catalog.h"
 #include "util/rng.h"
 
@@ -170,8 +172,9 @@ void BM_ReplaceDeltaNaive(benchmark::State& state) {
     const TaskIndex in = static_cast<TaskIndex>(
         first_free + (i * 7) % (f.catalog.size() - first_free));
     benchmark::DoNotOptimize(
-        NaiveReplaceDelta(*f.problem, f.assignment.bundles[q],
-                          i % static_cast<size_t>(state.range(0)), in, q));
+        reference::NaiveReplaceDelta(
+            *f.problem, f.assignment.bundles[q],
+            i % static_cast<size_t>(state.range(0)), in, q));
     ++i;
   }
 }
@@ -201,7 +204,8 @@ void BM_InsertDeltaNaive(benchmark::State& state) {
     const TaskIndex in = static_cast<TaskIndex>(
         first_free + (i * 7) % (f.catalog.size() - first_free));
     benchmark::DoNotOptimize(
-        NaiveInsertDelta(*f.problem, f.assignment.bundles[q], in, q));
+        reference::NaiveInsertDelta(*f.problem, f.assignment.bundles[q], in,
+                                    q));
     ++i;
   }
 }
@@ -235,8 +239,8 @@ void BM_ExchangeDeltaNaive(benchmark::State& state) {
     const TaskBundle& b1 = f.assignment.bundles[q1];
     const TaskBundle& b2 = f.assignment.bundles[q2];
     benchmark::DoNotOptimize(
-        NaiveReplaceDelta(*f.problem, b1, p1, b2[p2], q1) +
-        NaiveReplaceDelta(*f.problem, b2, p2, b1[p1], q2));
+        reference::NaiveReplaceDelta(*f.problem, b1, p1, b2[p2], q1) +
+        reference::NaiveReplaceDelta(*f.problem, b2, p2, b1[p1], q2));
     ++i;
   }
 }

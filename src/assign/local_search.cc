@@ -1,439 +1,26 @@
 #include "assign/local_search.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
-
-#include "assign/auditor.h"
-#include "util/metrics.h"
+#include "assign/local_search_passes.h"
 #include "util/parallel.h"
-#include "util/trace.h"
 
 namespace hta {
 
 namespace {
 
-/// Local-search observability. Probe counters are incremented once per
-/// fixed scan block (never per thread), so totals are exact and
-/// independent of HTA_THREADS; pass/move totals are folded in from the
-/// result struct after the pass loop finishes.
-struct LocalSearchMetrics {
-  metrics::Counter runs{"local_search.runs"};
-  metrics::Counter passes{"local_search.passes"};
-  metrics::Counter moves_applied{"local_search.moves_applied"};
-  metrics::Counter replace_probes{"local_search.replace_probes"};
-  metrics::Counter exchange_probes{"local_search.exchange_probes"};
-  metrics::Counter insert_probes{"local_search.insert_probes"};
-  metrics::Histogram seconds{"local_search.seconds",
-                             metrics::LatencyBucketsSeconds()};
-};
-
-LocalSearchMetrics& Lsm() {
-  static LocalSearchMetrics* m = new LocalSearchMetrics();
-  return *m;
-}
-
-/// Strict improvement threshold shared by every scan mode.
-constexpr double kImprovementEps = 1e-12;
-
-/// Relative margin for argmax scans: a later candidate only displaces
-/// the incumbent when its delta is better by this margin. Exact-
-/// arithmetic ties between candidates (common with rational Jaccard /
-/// Dice distances) can round to FP values that differ by a few ulps
-/// between the incremental tables and a from-scratch evaluation; the
-/// margin makes both evaluators resolve such ties to the same (lowest)
-/// scan index, so the incremental search reproduces the naive
-/// reference move-for-move.
-constexpr double kTieRelTolerance = 1e-9;
-
-/// Tolerant "strictly better" used by every best-candidate selection.
-inline bool StrictlyBetter(double delta, double best) {
-  const double scale = std::max({1.0, std::fabs(delta), std::fabs(best)});
-  return delta > best + kTieRelTolerance * scale;
-}
-
-/// Sentinel candidate index for "no improving candidate found".
-constexpr size_t kNoCandidate = static_cast<size_t>(-1);
-
-/// Unassigned candidates per fixed block of a deterministic scan.
-constexpr size_t kCandidateGrain = 128;
-
-/// Partner workers per fixed block of a deterministic exchange scan.
-constexpr size_t kWorkerScanGrain = 2;
-
 /// Tasks per fixed block of the incremental div_sum table updates.
 constexpr size_t kTableGrain = 256;
 
-/// Best replace/insert candidate of one scan row (delta, candidate
-/// position in the unassigned list). Folding with StrictlyBetter in
-/// ascending block order keeps the lowest index on (near-)ties.
-struct BestCandidate {
-  double delta = kImprovementEps;
-  size_t index = kNoCandidate;
-};
-
-/// Best exchange partner of one scan row.
-struct BestExchange {
-  double delta = kImprovementEps;
-  WorkerIndex q2 = 0;
-  size_t p2 = kNoCandidate;
-};
-
-/// Move evaluator backed by the retained naive reference deltas: every
-/// probe recomputes from the bundles, so Apply* only mutate the
-/// assignment. Interface-compatible with BundleStatsCache for the
-/// templated scan drivers.
-class NaiveEvaluator {
- public:
-  NaiveEvaluator(const HtaProblem* problem, Assignment* assignment)
-      : problem_(problem), assignment_(assignment) {}
-
-  double ReplaceDelta(WorkerIndex worker, size_t pos, TaskIndex in) const {
-    return NaiveReplaceDelta(*problem_, assignment_->bundles[worker], pos, in,
-                             worker);
-  }
-
-  double ExchangeDelta(WorkerIndex q1, size_t p1, WorkerIndex q2,
-                       size_t p2) const {
-    const TaskBundle& b1 = assignment_->bundles[q1];
-    const TaskBundle& b2 = assignment_->bundles[q2];
-    return NaiveReplaceDelta(*problem_, b1, p1, b2[p2], q1) +
-           NaiveReplaceDelta(*problem_, b2, p2, b1[p1], q2);
-  }
-
-  double InsertDelta(WorkerIndex worker, TaskIndex in) const {
-    return NaiveInsertDelta(*problem_, assignment_->bundles[worker], in,
-                            worker);
-  }
-
-  void ApplyReplace(WorkerIndex worker, size_t pos, TaskIndex in) {
-    assignment_->bundles[worker][pos] = in;
-  }
-
-  void ApplyInsert(WorkerIndex worker, TaskIndex in) {
-    assignment_->bundles[worker].push_back(in);
-  }
-
-  /// The naive evaluator has no incremental tables; its "cached"
-  /// objective is the from-scratch recompute, so the per-pass audit
-  /// degenerates to checking the applied-delta accumulator.
-  double CachedTotalMotivation() const {
-    return TotalMotivation(*problem_, *assignment_);
-  }
-
- private:
-  const HtaProblem* problem_;
-  Assignment* assignment_;
-};
-
-/// Legacy first-improvement replace scan: apply every improving
-/// candidate immediately and keep scanning from the mutated state.
-template <typename Eval>
-bool ReplacePassLegacy(const HtaProblem& problem, Assignment* assignment,
-                       std::vector<TaskIndex>* unassigned, Eval* eval,
-                       LocalSearchResult* result) {
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q = 0; q < worker_count; ++q) {
-    TaskBundle& bundle = assignment->bundles[q];
-    for (size_t pos = 0; pos < bundle.size(); ++pos) {
-      Lsm().replace_probes.Add(unassigned->size());
-      for (size_t u = 0; u < unassigned->size(); ++u) {
-        const double delta = eval->ReplaceDelta(q, pos, (*unassigned)[u]);
-        if (delta > kImprovementEps) {
-          const TaskIndex out = bundle[pos];
-          eval->ApplyReplace(q, pos, (*unassigned)[u]);
-          (*unassigned)[u] = out;
-          result->applied_delta += delta;
-          ++result->improving_moves;
-          improved = true;
-        }
-      }
-    }
-  }
-  return improved;
-}
-
-/// Deterministic replace scan: probe all candidates for one slot
-/// concurrently, apply the best improving one, move to the next slot.
-template <typename Eval>
-bool ReplacePassBest(const HtaProblem& problem,
-                     const LocalSearchOptions& options, Assignment* assignment,
-                     std::vector<TaskIndex>* unassigned, Eval* eval,
-                     LocalSearchResult* result) {
-  if (unassigned->empty()) return false;
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q = 0; q < worker_count; ++q) {
-    TaskBundle& bundle = assignment->bundles[q];
-    for (size_t pos = 0; pos < bundle.size(); ++pos) {
-      const BestCandidate best = ParallelReduce<BestCandidate>(
-          0, unassigned->size(), kCandidateGrain, BestCandidate{},
-          [&](size_t begin, size_t end) {
-            Lsm().replace_probes.Add(end - begin);
-            BestCandidate local;
-            for (size_t u = begin; u < end; ++u) {
-              const double delta = eval->ReplaceDelta(q, pos, (*unassigned)[u]);
-              if (StrictlyBetter(delta, local.delta)) {
-                local = BestCandidate{delta, u};
-              }
-            }
-            return local;
-          },
-          [](BestCandidate acc, BestCandidate partial) {
-            return StrictlyBetter(partial.delta, acc.delta) ? partial : acc;
-          },
-          options.threads);
-      if (best.index == kNoCandidate) continue;
-      const TaskIndex out = bundle[pos];
-      eval->ApplyReplace(q, pos, (*unassigned)[best.index]);
-      (*unassigned)[best.index] = out;
-      result->applied_delta += best.delta;
-      ++result->improving_moves;
-      improved = true;
-    }
-  }
-  return improved;
-}
-
-/// Legacy first-improvement exchange scan.
-template <typename Eval>
-bool ExchangePassLegacy(const HtaProblem& problem, Assignment* assignment,
-                        Eval* eval, LocalSearchResult* result) {
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q1 = 0; q1 < worker_count; ++q1) {
-    for (WorkerIndex q2 = static_cast<WorkerIndex>(q1 + 1); q2 < worker_count;
-         ++q2) {
-      TaskBundle& b1 = assignment->bundles[q1];
-      TaskBundle& b2 = assignment->bundles[q2];
-      Lsm().exchange_probes.Add(b1.size() * b2.size());
-      for (size_t p1 = 0; p1 < b1.size(); ++p1) {
-        for (size_t p2 = 0; p2 < b2.size(); ++p2) {
-          const double delta = eval->ExchangeDelta(q1, p1, q2, p2);
-          if (delta > kImprovementEps) {
-            const TaskIndex t1 = b1[p1];
-            const TaskIndex t2 = b2[p2];
-            eval->ApplyReplace(q1, p1, t2);
-            eval->ApplyReplace(q2, p2, t1);
-            result->applied_delta += delta;
-            ++result->improving_moves;
-            improved = true;
-          }
-        }
-      }
-    }
-  }
-  return improved;
-}
-
-/// Deterministic exchange scan: for each source slot, probe every
-/// partner slot of every later worker concurrently and apply the best
-/// improving swap.
-template <typename Eval>
-bool ExchangePassBest(const HtaProblem& problem,
-                      const LocalSearchOptions& options, Assignment* assignment,
-                      Eval* eval, LocalSearchResult* result) {
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q1 = 0; q1 + 1 < worker_count; ++q1) {
-    TaskBundle& b1 = assignment->bundles[q1];
-    for (size_t p1 = 0; p1 < b1.size(); ++p1) {
-      const BestExchange best = ParallelReduce<BestExchange>(
-          q1 + 1, worker_count, kWorkerScanGrain, BestExchange{},
-          [&](size_t begin, size_t end) {
-            BestExchange local;
-            size_t block_probes = 0;
-            for (size_t q2 = begin; q2 < end; ++q2) {
-              const size_t b2_size = assignment->bundles[q2].size();
-              block_probes += b2_size;
-              for (size_t p2 = 0; p2 < b2_size; ++p2) {
-                const double delta = eval->ExchangeDelta(
-                    q1, p1, static_cast<WorkerIndex>(q2), p2);
-                if (StrictlyBetter(delta, local.delta)) {
-                  local =
-                      BestExchange{delta, static_cast<WorkerIndex>(q2), p2};
-                }
-              }
-            }
-            Lsm().exchange_probes.Add(block_probes);
-            return local;
-          },
-          [](BestExchange acc, BestExchange partial) {
-            return StrictlyBetter(partial.delta, acc.delta) ? partial : acc;
-          },
-          options.threads);
-      if (best.p2 == kNoCandidate) continue;
-      TaskBundle& b2 = assignment->bundles[best.q2];
-      const TaskIndex t1 = b1[p1];
-      const TaskIndex t2 = b2[best.p2];
-      eval->ApplyReplace(q1, p1, t2);
-      eval->ApplyReplace(best.q2, best.p2, t1);
-      result->applied_delta += best.delta;
-      ++result->improving_moves;
-      improved = true;
-    }
-  }
-  return improved;
-}
-
-/// Insert scan. Selection is identical in both scan modes (greedy
-/// best-candidate with lowest-index ties, exactly the legacy argmax);
-/// the deterministic mode merely probes candidates concurrently.
-/// With non-negative diversity and relevance an insert never hurts
-/// (delta >= 0), so spare capacity is always filled; only strictly
-/// positive deltas count as improving moves.
-template <typename Eval>
-bool InsertPass(const HtaProblem& problem, const LocalSearchOptions& options,
-                Assignment* assignment, std::vector<TaskIndex>* unassigned,
-                Eval* eval, LocalSearchResult* result) {
-  const bool parallel_scan =
-      options.scan == LocalSearchScan::kDeterministicBest;
-  bool improved = false;
-  const size_t worker_count = problem.worker_count();
-  for (WorkerIndex q = 0; q < worker_count; ++q) {
-    TaskBundle& bundle = assignment->bundles[q];
-    while (bundle.size() < problem.xmax() && !unassigned->empty()) {
-      double best_delta = -1.0;
-      size_t best_u = kNoCandidate;
-      if (parallel_scan) {
-        struct InsertBest {
-          double delta = -1.0;
-          size_t index = kNoCandidate;
-        };
-        const InsertBest best = ParallelReduce<InsertBest>(
-            0, unassigned->size(), kCandidateGrain, InsertBest{},
-            [&](size_t begin, size_t end) {
-              Lsm().insert_probes.Add(end - begin);
-              InsertBest local;
-              for (size_t u = begin; u < end; ++u) {
-                const double delta = eval->InsertDelta(q, (*unassigned)[u]);
-                if (StrictlyBetter(delta, local.delta)) {
-                  local = InsertBest{delta, u};
-                }
-              }
-              return local;
-            },
-            [](InsertBest acc, InsertBest partial) {
-              return StrictlyBetter(partial.delta, acc.delta) ? partial : acc;
-            },
-            options.threads);
-        best_delta = best.delta;
-        best_u = best.index;
-      } else {
-        Lsm().insert_probes.Add(unassigned->size());
-        for (size_t u = 0; u < unassigned->size(); ++u) {
-          const double delta = eval->InsertDelta(q, (*unassigned)[u]);
-          if (StrictlyBetter(delta, best_delta)) {
-            best_delta = delta;
-            best_u = u;
-          }
-        }
-      }
-      if (best_u == kNoCandidate || best_delta < 0.0) break;
-      eval->ApplyInsert(q, (*unassigned)[best_u]);
-      (*unassigned)[best_u] = unassigned->back();
-      unassigned->pop_back();
-      result->applied_delta += best_delta;
-      ++result->inserts_applied;
-      if (best_delta > kImprovementEps) {
-        ++result->improving_moves;
-        improved = true;
-      }
-    }
-  }
-  return improved;
-}
-
-/// The pass loop shared by both evaluators and both scan modes. With
-/// `auditor` non-null, every completed pass is validated: structure
-/// (C1/C2, index bounds) plus two independent objective claims — the
-/// applied-delta accumulator and the evaluator's cached sums — against
-/// the from-scratch Eq. 3 recompute.
-template <typename Eval>
-Status RunPasses(const HtaProblem& problem, const LocalSearchOptions& options,
-                 Assignment* assignment, std::vector<TaskIndex>* unassigned,
-                 Eval* eval, const AssignmentAuditor* auditor,
-                 LocalSearchResult* result) {
-  const bool deterministic =
-      options.scan == LocalSearchScan::kDeterministicBest;
-  for (result->passes = 0; result->passes < options.max_passes;
-       ++result->passes) {
-    bool improved_this_pass = false;
-    if (options.enable_replace) {
-      const bool improved =
-          deterministic
-              ? ReplacePassBest(problem, options, assignment, unassigned, eval,
-                                result)
-              : ReplacePassLegacy(problem, assignment, unassigned, eval,
-                                  result);
-      improved_this_pass = improved || improved_this_pass;
-    }
-    if (options.enable_exchange) {
-      const bool improved =
-          deterministic
-              ? ExchangePassBest(problem, options, assignment, eval, result)
-              : ExchangePassLegacy(problem, assignment, eval, result);
-      improved_this_pass = improved || improved_this_pass;
-    }
-    if (options.enable_insert) {
-      const bool improved =
-          InsertPass(problem, options, assignment, unassigned, eval, result);
-      improved_this_pass = improved || improved_this_pass;
-    }
-    if (auditor != nullptr) {
-      HTA_RETURN_IF_ERROR(auditor->Audit(
-          *assignment, result->initial_motivation + result->applied_delta));
-      HTA_RETURN_IF_ERROR(auditor->CheckObjective(
-          *assignment, eval->CachedTotalMotivation()));
-    }
-    if (!improved_this_pass) {
-      result->reached_local_optimum = true;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-double NaiveReplaceDelta(const HtaProblem& problem, const TaskBundle& bundle,
-                         size_t pos, TaskIndex in, WorkerIndex worker) {
-  const TaskIndex out = bundle[pos];
-  const Worker& w = problem.workers()[worker];
-  const TaskDistanceOracle& d = problem.oracle();
-  double diversity_delta = 0.0;
-  for (size_t m = 0; m < bundle.size(); ++m) {
-    if (m == pos) continue;
-    diversity_delta += d(in, bundle[m]) - d(out, bundle[m]);
-  }
-  const double relevance_delta =
-      problem.Relevance(in, worker) - problem.Relevance(out, worker);
-  const double size_minus_one = static_cast<double>(bundle.size()) - 1.0;
-  return 2.0 * w.weights().alpha * diversity_delta +
-         w.weights().beta * size_minus_one * relevance_delta;
-}
-
-double NaiveInsertDelta(const HtaProblem& problem, const TaskBundle& bundle,
-                        TaskIndex in, WorkerIndex worker) {
-  const Worker& w = problem.workers()[worker];
-  const double before = Motivation(bundle, w, problem.oracle());
-  TaskBundle grown = bundle;
-  grown.push_back(in);
-  const double after = Motivation(grown, w, problem.oracle());
-  return after - before;
-}
-
 BundleStatsCache::BundleStatsCache(const HtaProblem& problem,
-                                   Assignment* assignment, size_t max_threads,
-                                   DistanceBackend backend)
+                                   Assignment* assignment, size_t max_threads)
     : problem_(&problem),
       assignment_(assignment),
       max_threads_(max_threads),
       task_count_(problem.task_count()),
       worker_count_(problem.worker_count()) {
   const TaskDistanceOracle& d = problem.oracle();
-  problem.FillRelevanceTable(&rel_, max_threads_, backend);
+  problem.FillRelevanceTable(&rel_, max_threads_);
   div_sum_.assign(worker_count_ * task_count_, 0.0);
   bundle_div_.assign(worker_count_, 0.0);
   bundle_rel_.assign(worker_count_, 0.0);
@@ -547,41 +134,10 @@ void BundleStatsCache::ApplyInsert(WorkerIndex worker, TaskIndex in) {
 Result<LocalSearchResult> ImproveAssignment(
     const HtaProblem& problem, const Assignment& initial,
     const LocalSearchOptions& options) {
-  HTA_RETURN_IF_ERROR(ValidateAssignment(problem, initial));
-  Lsm().runs.Add();
-  trace::PhaseSpan improve_span("local_search.improve", &Lsm().seconds);
-
-  LocalSearchResult result;
-  result.assignment = initial;
-  result.initial_motivation = TotalMotivation(problem, initial);
-
-  std::vector<bool> assigned(problem.task_count(), false);
-  for (const TaskBundle& b : result.assignment.bundles) {
-    for (TaskIndex t : b) assigned[t] = true;
-  }
-  std::vector<TaskIndex> unassigned;
-  for (size_t t = 0; t < problem.task_count(); ++t) {
-    if (!assigned[t]) unassigned.push_back(static_cast<TaskIndex>(t));
-  }
-
-  const AssignmentAuditor auditor(problem);
-  const AssignmentAuditor* audit = AuditEnabled() ? &auditor : nullptr;
-  if (options.evaluation == LocalSearchEval::kIncremental) {
-    BundleStatsCache cache(problem, &result.assignment, options.threads,
-                           options.backend);
-    HTA_RETURN_IF_ERROR(RunPasses(problem, options, &result.assignment,
-                                  &unassigned, &cache, audit, &result));
-  } else {
-    NaiveEvaluator eval(&problem, &result.assignment);
-    HTA_RETURN_IF_ERROR(RunPasses(problem, options, &result.assignment,
-                                  &unassigned, &eval, audit, &result));
-  }
-
-  Lsm().passes.Add(result.passes);
-  Lsm().moves_applied.Add(result.improving_moves);
-  result.motivation = TotalMotivation(problem, result.assignment);
-  HTA_DCHECK(ValidateAssignment(problem, result.assignment).ok());
-  return result;
+  return local_search_internal::ImproveWith(
+      problem, initial, options, [&](Assignment* assignment) {
+        return BundleStatsCache(problem, assignment, options.threads);
+      });
 }
 
 }  // namespace hta

@@ -43,9 +43,9 @@ inline metrics::Counter& TriHits() {
 ///    for the lifetime of the deployment.
 ///
 /// The cache stores doubles (not the float cache of
-/// TaskDistanceOracle::Precomputed) because warm iterations must be
-/// bit-identical to the cold path, whose on-the-fly oracle returns full
-/// double distances. Every cached value is produced by
+/// TaskDistanceOracle::Precomputed) because subset-view iterations must
+/// be bit-identical to solves over copied tasks, whose on-the-fly
+/// oracle returns full double distances. Every cached value is produced by
 /// packed_internal::DistanceFromCounts, which replicates distance.cc
 /// expression-for-expression, so a cache hit equals a fresh
 /// PairwiseTaskDiversity call bit-for-bit.

@@ -57,15 +57,13 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 }
 
 std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
-                                              size_t max_threads,
-                                              DistanceBackend backend) {
+                                              size_t max_threads) {
   const size_t n = d.task_count();
   if (n < 2) return {};
   // The fused SoA sweep applies only when distances come from keyword
   // vectors; a precomputed (or dense-matrix) oracle already answers
   // from its float cache, which the kernels must not bypass.
-  const bool batched =
-      backend == DistanceBackend::kBatched && !d.is_precomputed();
+  const bool batched = !d.is_precomputed();
   // PackedRows packs the oracle's rows in local-vector mode and gathers
   // them from the shared catalog matrix in subset mode; either way the
   // rows (and thus the emitted edges) are bitwise identical.
@@ -147,11 +145,10 @@ std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
 }
 
 GraphMatching GreedyMatchingOnTaskGraph(const TaskDistanceOracle& oracle,
-                                        size_t max_threads,
-                                        DistanceBackend backend) {
-  return GreedyMaxWeightMatching(
-      oracle.task_count(), BuildDiversityEdges(oracle, max_threads, backend),
-      max_threads);
+                                        size_t max_threads) {
+  return GreedyMaxWeightMatching(oracle.task_count(),
+                                 BuildDiversityEdges(oracle, max_threads),
+                                 max_threads);
 }
 
 GraphMatching PathGrowingMatching(size_t vertex_count,

@@ -30,22 +30,20 @@ GraphMatching GreedyMaxWeightMatching(size_t vertex_count,
 /// sized from the exact per-block pair counts and concatenated in
 /// block order, so the returned list is bit-identical to a serial
 /// row-major scan for any thread count. `max_threads` caps the threads
-/// used (0 = pool size, 1 = serial). With the default kBatched backend
-/// an on-the-fly oracle is swept by the fused SoA emission kernel
-/// (core/packed_set.h) instead of per-pair oracle calls — same edges,
-/// same order; precomputed / dense-matrix oracles always read their
-/// float cache regardless of backend.
-std::vector<WeightedEdge> BuildDiversityEdges(
-    const TaskDistanceOracle& d, size_t max_threads = 0,
-    DistanceBackend backend = DistanceBackend::kBatched);
+/// used (0 = pool size, 1 = serial). An on-the-fly or shared-subset
+/// oracle is swept by the fused SoA emission kernel (core/packed_set.h)
+/// — the same edges in the same order as per-pair oracle calls;
+/// precomputed / dense-matrix oracles are read entry by entry from
+/// their float cache.
+std::vector<WeightedEdge> BuildDiversityEdges(const TaskDistanceOracle& d,
+                                              size_t max_threads = 0);
 
 /// Greedy matching on the task-diversity graph B: BuildDiversityEdges
 /// followed by GreedyMaxWeightMatching. Unlike the paper's description
 /// it does not materialize the ~n²/2 zero-weight pairs (600 MB of
 /// edges at |T| = 10⁴ buys only weight-0 matches).
-GraphMatching GreedyMatchingOnTaskGraph(
-    const TaskDistanceOracle& oracle, size_t max_threads = 0,
-    DistanceBackend backend = DistanceBackend::kBatched);
+GraphMatching GreedyMatchingOnTaskGraph(const TaskDistanceOracle& oracle,
+                                        size_t max_threads = 0);
 
 /// Path-growing algorithm of Drake & Hougardy: also a 1/2-approximation
 /// but linear in |E| after adjacency construction — provided as an

@@ -15,8 +15,8 @@ namespace hta::metrics {
 ///  1. *Near-zero cost when off.* Instrumentation is compiled in
 ///     unconditionally but gated on HTA_METRICS=1; a disabled Add() is
 ///     one relaxed load of a process-global flag and a predictable
-///     branch. The engine's bit-identity contracts (warm/cold, batched/
-///     scalar, any HTA_THREADS) must hold with metrics on or off —
+///     branch. The engine's bit-identity contracts (cache budgets,
+///     batched/scalar, any HTA_THREADS) must hold with metrics on or off —
 ///     instrumentation never feeds back into algorithm state.
 ///
 ///  2. *Deterministic totals.* Counters and gauges are integers, so

@@ -1,6 +1,7 @@
 // Randomized differential audit: long sequences of replace / exchange /
 // insert moves applied through BundleStatsCache, with every probed
-// delta checked against the retained naive reference and the running
+// delta checked against the naive reference of
+// tests/reference/hta_reference.h and the running
 // incremental objective (initial + Σ applied deltas, and the
 // cache-derived bundle sums) audited against a from-scratch Eq. 3
 // recompute — across all four DistanceKinds. Any stale table entry,
@@ -15,6 +16,7 @@
 #include "assign/auditor.h"
 #include "assign/hta_solver.h"
 #include "assign/local_search.h"
+#include "reference/hta_reference.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -91,9 +93,9 @@ void DriveMoveSequence(const HtaProblem& problem, Assignment seed_assignment,
       const size_t u = rng.NextBounded(unassigned.size());
       const TaskIndex in = unassigned[u];
       const double delta = cache.ReplaceDelta(q, pos, in);
-      ExpectDeltaAgrees(delta,
-                        NaiveReplaceDelta(problem, bundle, pos, in, q),
-                        "replace", step);
+      ExpectDeltaAgrees(
+          delta, reference::NaiveReplaceDelta(problem, bundle, pos, in, q),
+          "replace", step);
       const TaskIndex out = bundle[pos];
       cache.ApplyReplace(q, pos, in);
       unassigned[u] = out;
@@ -111,8 +113,9 @@ void DriveMoveSequence(const HtaProblem& problem, Assignment seed_assignment,
       const size_t p1 = rng.NextBounded(b1.size());
       const size_t p2 = rng.NextBounded(b2.size());
       const double delta = cache.ExchangeDelta(q1, p1, q2, p2);
-      const double naive = NaiveReplaceDelta(problem, b1, p1, b2[p2], q1) +
-                           NaiveReplaceDelta(problem, b2, p2, b1[p1], q2);
+      const double naive =
+          reference::NaiveReplaceDelta(problem, b1, p1, b2[p2], q1) +
+          reference::NaiveReplaceDelta(problem, b2, p2, b1[p1], q2);
       ExpectDeltaAgrees(delta, naive, "exchange", step);
       const TaskIndex t1 = b1[p1];
       const TaskIndex t2 = b2[p2];
@@ -127,9 +130,10 @@ void DriveMoveSequence(const HtaProblem& problem, Assignment seed_assignment,
       const size_t u = rng.NextBounded(unassigned.size());
       const TaskIndex in = unassigned[u];
       const double delta = cache.InsertDelta(q, in);
-      ExpectDeltaAgrees(
-          delta, NaiveInsertDelta(problem, assignment.bundles[q], in, q),
-          "insert", step);
+      ExpectDeltaAgrees(delta,
+                        reference::NaiveInsertDelta(
+                            problem, assignment.bundles[q], in, q),
+                        "insert", step);
       cache.ApplyInsert(q, in);
       unassigned[u] = unassigned.back();
       unassigned.pop_back();
@@ -180,8 +184,9 @@ TEST_P(AuditDifferentialTest, LongMoveSequencesFromUnderCapacitySeeds) {
 
 TEST_P(AuditDifferentialTest, LocalSearchEndToEndTracksItsDeltas) {
   // The production pass loop itself: the reported applied_delta must
-  // reconcile initial and final motivation within audit tolerance for
-  // both evaluators and both scan modes.
+  // reconcile initial and final motivation within audit tolerance, with
+  // the incremental evaluator and with the naive reference driven by
+  // the same loop.
   const DistanceKind kind = GetParam();
   const Fixture f = RandomFixture(32, 4, 29);
   auto problem = HtaProblem::Create(&f.tasks, &f.workers, 4, kind,
@@ -189,20 +194,18 @@ TEST_P(AuditDifferentialTest, LocalSearchEndToEndTracksItsDeltas) {
   ASSERT_TRUE(problem.ok()) << problem.status();
   auto gre = SolveHtaGre(*problem, 29);
   ASSERT_TRUE(gre.ok()) << gre.status();
-  for (const LocalSearchEval eval : {LocalSearchEval::kIncremental,
-                                     LocalSearchEval::kNaiveReference}) {
-    for (const LocalSearchScan scan : {LocalSearchScan::kDeterministicBest,
-                                       LocalSearchScan::kLegacySerial}) {
-      LocalSearchOptions options;
-      options.evaluation = eval;
-      options.scan = scan;
-      auto improved = ImproveAssignment(*problem, gre->assignment, options);
-      ASSERT_TRUE(improved.ok()) << improved.status();
-      const double tracked =
-          improved->initial_motivation + improved->applied_delta;
-      EXPECT_NEAR(tracked, improved->motivation,
-                  1e-9 * std::max(1.0, std::fabs(improved->motivation)));
-    }
+  const LocalSearchOptions options;
+  for (const bool naive : {false, true}) {
+    auto improved =
+        naive ? reference::ImproveAssignmentNaive(*problem, gre->assignment,
+                                                  options)
+              : ImproveAssignment(*problem, gre->assignment, options);
+    ASSERT_TRUE(improved.ok()) << improved.status();
+    const double tracked =
+        improved->initial_motivation + improved->applied_delta;
+    EXPECT_NEAR(tracked, improved->motivation,
+                1e-9 * std::max(1.0, std::fabs(improved->motivation)))
+        << (naive ? "naive" : "incremental");
   }
 }
 

@@ -1,8 +1,9 @@
 // Equivalence suite for the incremental local search: the O(1)-delta
-// evaluator must reproduce the retained naive reference move-for-move
-// (identical final assignments and motivation), under both scan modes,
-// across every DistanceKind, varying Xmax, and under-capacity seeds —
-// and the deterministic scan must be bit-identical at any thread cap.
+// evaluator must reproduce the naive reference of
+// tests/reference/hta_reference.h move-for-move (identical final
+// assignments and motivation) — both drive the same production pass
+// loop — across every DistanceKind, varying Xmax, and under-capacity
+// seeds, and the scan must be bit-identical at any thread cap.
 #include "assign/local_search.h"
 
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "assign/hta_solver.h"
+#include "reference/hta_reference.h"
 #include "util/rng.h"
 
 namespace hta {
@@ -53,13 +55,18 @@ Fixture RandomFixture(size_t num_tasks, size_t num_workers, uint64_t seed) {
 }
 
 LocalSearchResult Improve(const HtaProblem& problem, const Assignment& seed,
-                          LocalSearchEval eval, LocalSearchScan scan,
                           size_t threads = 0) {
   LocalSearchOptions options;
-  options.evaluation = eval;
-  options.scan = scan;
   options.threads = threads;
   auto improved = ImproveAssignment(problem, seed, options);
+  HTA_CHECK(improved.ok()) << improved.status();
+  return *improved;
+}
+
+LocalSearchResult ImproveNaive(const HtaProblem& problem,
+                               const Assignment& seed) {
+  auto improved =
+      reference::ImproveAssignmentNaive(problem, seed, LocalSearchOptions{});
   HTA_CHECK(improved.ok()) << improved.status();
   return *improved;
 }
@@ -87,23 +94,12 @@ TEST_P(LocalSearchEquivalenceTest, IncrementalMatchesNaiveOnGreSeeds) {
       ASSERT_TRUE(problem.ok()) << problem.status();
       auto gre = SolveHtaGre(*problem, seed);
       ASSERT_TRUE(gre.ok());
-      for (const LocalSearchScan scan : {LocalSearchScan::kDeterministicBest,
-                                         LocalSearchScan::kLegacySerial}) {
-        const LocalSearchResult incremental =
-            Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-                    scan);
-        const LocalSearchResult naive =
-            Improve(*problem, gre->assignment,
-                    LocalSearchEval::kNaiveReference, scan);
-        ExpectIdentical(incremental, naive,
-                        scan == LocalSearchScan::kDeterministicBest
-                            ? "deterministic scan"
-                            : "legacy scan");
-        EXPECT_GE(incremental.motivation + 1e-9,
-                  incremental.initial_motivation);
-        EXPECT_TRUE(
-            ValidateAssignment(*problem, incremental.assignment).ok());
-      }
+      const LocalSearchResult incremental = Improve(*problem, gre->assignment);
+      const LocalSearchResult naive = ImproveNaive(*problem, gre->assignment);
+      ExpectIdentical(incremental, naive, "solver seed");
+      EXPECT_GE(incremental.motivation + 1e-9,
+                incremental.initial_motivation);
+      EXPECT_TRUE(ValidateAssignment(*problem, incremental.assignment).ok());
     }
   }
 }
@@ -124,16 +120,11 @@ TEST_P(LocalSearchEquivalenceTest, IncrementalMatchesNaiveUnderCapacity) {
     for (size_t q = 0; q < 3; ++q) {
       for (size_t i = 0; i < q; ++i) partial.bundles[q].push_back(next++);
     }
-    for (const LocalSearchScan scan : {LocalSearchScan::kDeterministicBest,
-                                       LocalSearchScan::kLegacySerial}) {
-      const LocalSearchResult incremental = Improve(
-          *problem, partial, LocalSearchEval::kIncremental, scan);
-      const LocalSearchResult naive = Improve(
-          *problem, partial, LocalSearchEval::kNaiveReference, scan);
-      ExpectIdentical(incremental, naive, "under-capacity seed");
-      // Inserts never hurt, so all capacity (3 workers x Xmax 5) fills.
-      EXPECT_EQ(incremental.assignment.AssignedTaskCount(), 15u);
-    }
+    const LocalSearchResult incremental = Improve(*problem, partial);
+    const LocalSearchResult naive = ImproveNaive(*problem, partial);
+    ExpectIdentical(incremental, naive, "under-capacity seed");
+    // Inserts never hurt, so all capacity (3 workers x Xmax 5) fills.
+    EXPECT_EQ(incremental.assignment.AssignedTaskCount(), 15u);
   }
 }
 
@@ -146,12 +137,10 @@ TEST_P(LocalSearchEquivalenceTest, DeterministicScanBitIdenticalAcrossThreads) {
   auto gre = SolveHtaGre(*problem, 21);
   ASSERT_TRUE(gre.ok());
   const LocalSearchResult serial =
-      Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-              LocalSearchScan::kDeterministicBest, /*threads=*/1);
+      Improve(*problem, gre->assignment, /*threads=*/1);
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
     const LocalSearchResult parallel =
-        Improve(*problem, gre->assignment, LocalSearchEval::kIncremental,
-                LocalSearchScan::kDeterministicBest, threads);
+        Improve(*problem, gre->assignment, threads);
     ExpectIdentical(serial, parallel, "thread cap");
   }
 }

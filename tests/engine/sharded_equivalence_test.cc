@@ -130,7 +130,6 @@ TEST_P(OneShardEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
   const DistanceKind kind = std::get<0>(GetParam());
   const bool warm_start = std::get<1>(GetParam());
   ScopedEnv pin_shards("HTA_SHARDS", "1");
-  ScopedEnv pin_warm_start("HTA_WARM_START", warm_start ? "1" : "0");
   constexpr size_t kUniverse = 70;
   const auto catalog = RandomCatalog(260, kUniverse, 21);
   const auto interests = RandomInterests(5, kUniverse, 22);
@@ -143,6 +142,7 @@ TEST_P(OneShardEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
   options.refresh_after_completions = 3;
   options.min_batch_workers = 2;
   options.max_tasks_per_iteration = 40;
+  options.warm_start = warm_start;
   options.seed = 77;
 
   EventLog flat_log;
@@ -243,7 +243,6 @@ DeploymentRun RunOnce(const Catalog& catalog,
                       size_t driver_threads, size_t solver_threads,
                       bool warm_start) {
   ScopedEnv pin_shards("HTA_SHARDS", "4");
-  ScopedEnv pin_warm_start("HTA_WARM_START", warm_start ? "1" : "0");
   // Workers are stateful (boredom, history, RNG): rebuild the same
   // population from the same seeds for every run.
   std::vector<BehavioralWorker> behavioral;
@@ -264,6 +263,7 @@ DeploymentRun RunOnce(const Catalog& catalog,
   options.service.refresh_after_completions = 2;
   options.service.max_tasks_per_iteration = 80;
   options.service.solver_threads = solver_threads;
+  options.service.warm_start = warm_start;
   options.service.seed = 99;
   options.service.event_log = &run.log;
   ShardedAssignmentService service(&catalog.tasks, options);

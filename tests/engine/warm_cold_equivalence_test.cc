@@ -1,32 +1,35 @@
-// Warm-vs-cold engine equivalence: two AssignmentServices over the same
-// catalog — one with the warm catalog cache (packed rows + persistent
-// distance triangle + zero-copy subset views), one forced cold (task
-// copies per iteration, exactly the pre-cache reference path) — are
-// driven through an identical scripted deployment and must stay
-// EXPECT_EQ-identical at every observable step: displayed bundles after
-// every registration and completion, weight estimates, pool state, and
-// the full iteration-record stream (bit-identical objectives). The
-// script is exercised across every DistanceKind (including the
-// non-metric Dice) and several solver thread caps.
+// Cache-budget engine equivalence: AssignmentServices over the same
+// catalog — one with full catalog caches (persistent distance triangle
+// plus per-session relevance rows), one with both budgets at zero
+// (packed rows only: every distance recomputed per query, every
+// relevance table swept per iteration) — are driven through an
+// identical scripted deployment and must stay EXPECT_EQ-identical at
+// every observable step: displayed bundles after every registration and
+// completion, weight estimates, pool state, and the full
+// iteration-record stream (bit-identical objectives). The script is
+// exercised across every DistanceKind (including the non-metric Dice)
+// and several solver thread caps. Instance-level equivalence of subset
+// views and copied tasks (CreateFromSubset vs Create) is pinned in
+// core/catalog_cache_test.
+//
+// The service is configured only through its options: the environment
+// variables that used to override them must leave a deployment
+// untouched.
+#include <cstdlib>
+#include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/assignment_service.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace hta {
 namespace {
-
-// Under the HTA_WARM_CACHE=0 escape hatch (the CI cold-reference run)
-// every service is forced cold and warm-vs-cold degenerates to
-// cold-vs-cold; skip so the suite's pass has its intended meaning.
-#define SKIP_IF_WARM_CACHE_FORCED_OFF()                                   \
-  if (GetEnvIntOr("HTA_WARM_CACHE", 1) == 0) {                            \
-    GTEST_SKIP() << "HTA_WARM_CACHE=0 forces the cold path everywhere";   \
-  }
 
 std::vector<Task> RandomCatalog(size_t n, size_t universe, uint64_t seed) {
   Rng rng(seed);
@@ -57,88 +60,117 @@ std::vector<KeywordVector> RandomInterests(size_t count, size_t universe,
   return out;
 }
 
+/// Everything a deployment exposes, recorded after every registration,
+/// completion and departure of the script below.
+struct DeploymentTrace {
+  std::vector<std::vector<size_t>> displays;
+  std::vector<double> weights;       // alpha, beta per live worker.
+  std::vector<size_t> pool_counts;   // available, completed.
+  std::vector<IterationRecord> iterations;
+};
+
+/// Registers one worker per interest vector, then for `rounds` rounds
+/// every live worker completes the front of their display `per_round`
+/// times; the last worker departs after round 1.
+DeploymentTrace RunScript(const std::vector<Task>& catalog,
+                          const std::vector<KeywordVector>& interests,
+                          const AssignmentServiceOptions& options,
+                          size_t rounds, size_t per_round) {
+  AssignmentService service(&catalog, options);
+  DeploymentTrace trace;
+  std::vector<uint64_t> ids;
+  const auto snapshot = [&] {
+    for (uint64_t id : ids) {
+      trace.displays.push_back(service.Displayed(id));
+      const MotivationWeights w = service.CurrentWeights(id);
+      trace.weights.push_back(w.alpha);
+      trace.weights.push_back(w.beta);
+    }
+    trace.pool_counts.push_back(service.pool().available_count());
+    trace.pool_counts.push_back(service.pool().completed_count());
+  };
+  for (const KeywordVector& v : interests) {
+    ids.push_back(service.RegisterWorker(v));
+    snapshot();
+  }
+  for (size_t round = 0; round < rounds; ++round) {
+    for (uint64_t id : ids) {
+      for (size_t c = 0; c < per_round; ++c) {
+        const std::vector<size_t> displayed = service.Displayed(id);
+        if (displayed.empty()) break;
+        EXPECT_TRUE(service.NotifyCompleted(id, displayed.front()).ok());
+        snapshot();
+      }
+    }
+    if (round == 1 && ids.size() > 1) {
+      // A mid-deployment departure must not disturb equivalence.
+      service.Deregister(ids.back());
+      ids.pop_back();
+      snapshot();
+    }
+  }
+  trace.iterations = service.iterations();
+  return trace;
+}
+
+/// Step-for-step identity; timings are the only fields allowed to
+/// differ.
+void ExpectSameTrace(const DeploymentTrace& a, const DeploymentTrace& b) {
+  EXPECT_EQ(a.displays, b.displays);
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.pool_counts, b.pool_counts);
+  ASSERT_EQ(a.iterations.size(), b.iterations.size());
+  for (size_t i = 0; i < a.iterations.size(); ++i) {
+    const IterationRecord& x = a.iterations[i];
+    const IterationRecord& y = b.iterations[i];
+    EXPECT_EQ(x.iteration, y.iteration);
+    EXPECT_EQ(x.worker_count, y.worker_count);
+    EXPECT_EQ(x.task_count, y.task_count);
+    EXPECT_EQ(x.motivation, y.motivation) << "iteration " << i;
+    EXPECT_EQ(x.warm_seeded, y.warm_seeded) << "iteration " << i;
+    EXPECT_EQ(x.carried_tasks, y.carried_tasks) << "iteration " << i;
+    EXPECT_EQ(x.repaired_slots, y.repaired_slots) << "iteration " << i;
+  }
+}
+
 class WarmColdEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<DistanceKind, size_t>> {};
 
 TEST_P(WarmColdEquivalenceTest, ScriptedDeploymentIsBitIdentical) {
-  SKIP_IF_WARM_CACHE_FORCED_OFF();
   const DistanceKind kind = std::get<0>(GetParam());
   const size_t solver_threads = std::get<1>(GetParam());
   constexpr size_t kUniverse = 70;
   const auto catalog = RandomCatalog(260, kUniverse, 21);
   const auto interests = RandomInterests(4, kUniverse, 22);
 
-  AssignmentServiceOptions options;
-  options.strategy = StrategyKind::kHtaGre;
-  options.metric = kind;
-  options.xmax = 5;
-  options.extra_random_tasks = 2;
-  options.refresh_after_completions = 3;
-  options.min_batch_workers = 2;
-  options.max_tasks_per_iteration = 40;  // << catalog: sampling path.
-  options.solver_threads = solver_threads;
-  options.seed = 77;
-
-  AssignmentServiceOptions warm_options = options;
-  warm_options.warm_cache = true;
-  AssignmentServiceOptions cold_options = options;
-  cold_options.warm_cache = false;
-  AssignmentService warm(&catalog, warm_options);
-  AssignmentService cold(&catalog, cold_options);
-  ASSERT_NE(warm.warm_cache(), nullptr);
-  ASSERT_EQ(cold.warm_cache(), nullptr);
-
-  std::vector<uint64_t> ids;
-  const auto expect_same_state = [&] {
-    for (uint64_t id : ids) {
-      ASSERT_EQ(warm.Displayed(id), cold.Displayed(id)) << "worker " << id;
-      const MotivationWeights ww = warm.CurrentWeights(id);
-      const MotivationWeights cw = cold.CurrentWeights(id);
-      EXPECT_EQ(ww.alpha, cw.alpha);
-      EXPECT_EQ(ww.beta, cw.beta);
-    }
-    EXPECT_EQ(warm.pool().available_count(), cold.pool().available_count());
-    EXPECT_EQ(warm.pool().completed_count(), cold.pool().completed_count());
-  };
-
-  for (const KeywordVector& v : interests) {
-    const uint64_t warm_id = warm.RegisterWorker(v);
-    const uint64_t cold_id = cold.RegisterWorker(v);
-    ASSERT_EQ(warm_id, cold_id);
-    ids.push_back(warm_id);
-    expect_same_state();
+  AssignmentServiceOptions full;
+  full.strategy = StrategyKind::kHtaGre;
+  full.metric = kind;
+  full.xmax = 5;
+  full.extra_random_tasks = 2;
+  full.refresh_after_completions = 3;
+  full.min_batch_workers = 2;
+  full.max_tasks_per_iteration = 40;  // << catalog: sampling path.
+  full.solver_threads = solver_threads;
+  full.seed = 77;
+  AssignmentServiceOptions bare = full;
+  bare.warm_distance_cache_bytes = 0;
+  bare.session_relevance_bytes = 0;
+  {
+    const AssignmentService full_service(&catalog, full);
+    const AssignmentService bare_service(&catalog, bare);
+    ASSERT_TRUE(full_service.catalog_cache().distance_cache_enabled());
+    ASSERT_NE(full_service.session_relevance(), nullptr);
+    ASSERT_FALSE(bare_service.catalog_cache().distance_cache_enabled());
+    ASSERT_EQ(bare_service.session_relevance(), nullptr);
   }
 
-  for (size_t round = 0; round < 4; ++round) {
-    for (uint64_t id : ids) {
-      for (size_t c = 0; c < 2; ++c) {
-        const std::vector<size_t> displayed = warm.Displayed(id);
-        if (displayed.empty()) break;
-        ASSERT_TRUE(warm.NotifyCompleted(id, displayed.front()).ok());
-        ASSERT_TRUE(cold.NotifyCompleted(id, displayed.front()).ok());
-        expect_same_state();
-      }
-    }
-    if (round == 1) {
-      // A mid-deployment departure must not disturb equivalence.
-      warm.Deregister(ids.back());
-      cold.Deregister(ids.back());
-      ids.pop_back();
-      expect_same_state();
-    }
-  }
-
-  // The full iteration stream matches record for record; timings are
-  // the only fields allowed to differ.
-  ASSERT_EQ(warm.iteration_count(), cold.iteration_count());
-  for (size_t i = 0; i < warm.iteration_count(); ++i) {
-    const IterationRecord& w = warm.iterations()[i];
-    const IterationRecord& c = cold.iterations()[i];
-    EXPECT_EQ(w.iteration, c.iteration);
-    EXPECT_EQ(w.worker_count, c.worker_count);
-    EXPECT_EQ(w.task_count, c.task_count);
-    EXPECT_EQ(w.motivation, c.motivation) << "iteration " << i;
-  }
+  const DeploymentTrace full_trace =
+      RunScript(catalog, interests, full, /*rounds=*/4, /*per_round=*/2);
+  const DeploymentTrace bare_trace =
+      RunScript(catalog, interests, bare, /*rounds=*/4, /*per_round=*/2);
+  ASSERT_FALSE(full_trace.iterations.empty());
+  ExpectSameTrace(full_trace, bare_trace);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -159,51 +191,102 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The warm default must follow AssignmentServiceOptions (and the
-// HTA_WARM_CACHE escape hatch tested in CI), and a tiny distance-cache
-// budget must degrade to packed-rows-only warm mode, still equivalent.
+// A zero distance budget alone (session rows kept) degrades to the
+// packed-rows-only triangle and must still match the full caches.
 TEST(WarmColdEquivalenceTest, ZeroDistanceBudgetStaysEquivalent) {
-  SKIP_IF_WARM_CACHE_FORCED_OFF();
   constexpr size_t kUniverse = 40;
   const auto catalog = RandomCatalog(120, kUniverse, 31);
   const auto interests = RandomInterests(2, kUniverse, 32);
 
-  AssignmentServiceOptions options;
-  options.xmax = 4;
-  options.extra_random_tasks = 1;
-  options.refresh_after_completions = 2;
-  options.max_tasks_per_iteration = 30;
-  options.seed = 7;
-
-  AssignmentServiceOptions warm_options = options;
-  warm_options.warm_cache = true;
-  warm_options.warm_distance_cache_bytes = 0;  // Packed rows only.
-  AssignmentServiceOptions cold_options = options;
-  cold_options.warm_cache = false;
-  AssignmentService warm(&catalog, warm_options);
-  AssignmentService cold(&catalog, cold_options);
-  ASSERT_NE(warm.warm_cache(), nullptr);
-  EXPECT_FALSE(warm.warm_cache()->distance_cache_enabled());
-
-  std::vector<uint64_t> ids;
-  for (const KeywordVector& v : interests) {
-    ids.push_back(warm.RegisterWorker(v));
-    ASSERT_EQ(cold.RegisterWorker(v), ids.back());
+  AssignmentServiceOptions full;
+  full.xmax = 4;
+  full.extra_random_tasks = 1;
+  full.refresh_after_completions = 2;
+  full.max_tasks_per_iteration = 30;
+  full.seed = 7;
+  AssignmentServiceOptions zero_budget = full;
+  zero_budget.warm_distance_cache_bytes = 0;  // Packed rows only.
+  {
+    const AssignmentService probe(&catalog, zero_budget);
+    EXPECT_FALSE(probe.catalog_cache().distance_cache_enabled());
+    EXPECT_NE(probe.session_relevance(), nullptr);
   }
-  for (size_t step = 0; step < 12; ++step) {
-    const uint64_t id = ids[step % ids.size()];
-    const std::vector<size_t> displayed = warm.Displayed(id);
-    if (displayed.empty()) continue;
-    ASSERT_TRUE(warm.NotifyCompleted(id, displayed.front()).ok());
-    ASSERT_TRUE(cold.NotifyCompleted(id, displayed.front()).ok());
-    for (uint64_t w : ids) {
-      ASSERT_EQ(warm.Displayed(w), cold.Displayed(w));
+
+  ExpectSameTrace(
+      RunScript(catalog, interests, full, /*rounds=*/6, /*per_round=*/1),
+      RunScript(catalog, interests, zero_budget, /*rounds=*/6,
+                /*per_round=*/1));
+}
+
+/// Sets (or clears, with nullptr) an environment variable for one
+/// scope, restoring the previous state on destruction.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr) {
+      setenv(name, value, /*overwrite=*/1);
+    } else {
+      unsetenv(name);
     }
   }
-  ASSERT_EQ(warm.iteration_count(), cold.iteration_count());
-  for (size_t i = 0; i < warm.iteration_count(); ++i) {
-    EXPECT_EQ(warm.iterations()[i].motivation, cold.iterations()[i].motivation);
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_.c_str(), old_->c_str(), /*overwrite=*/1);
+    } else {
+      unsetenv(name_.c_str());
+    }
   }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  std::string name_;
+  std::optional<std::string> old_;
+};
+
+// The service reads no option from the environment: the variables that
+// once forced the cold path, zeroed the cache budgets or switched warm
+// start on change nothing about a default-options deployment — set one
+// at a time or all at once.
+TEST(WarmColdEquivalenceTest, EnvironmentDoesNotOverrideOptions) {
+  constexpr size_t kUniverse = 60;
+  const auto catalog = RandomCatalog(200, kUniverse, 41);
+  const auto interests = RandomInterests(4, kUniverse, 42);
+  const AssignmentServiceOptions options;
+  const std::pair<const char*, const char*> kOverrides[] = {
+      {"HTA_WARM_START", "1"},
+      {"HTA_WARM_CACHE", "0"},
+      {"HTA_WARM_CACHE_BYTES", "0"},
+      {"HTA_SESSION_REL_BYTES", "0"}};
+  const auto run = [&] {
+    const AssignmentService probe(&catalog, options);
+    EXPECT_FALSE(probe.options().warm_start);
+    EXPECT_EQ(probe.options().warm_distance_cache_bytes,
+              options.warm_distance_cache_bytes);
+    EXPECT_EQ(probe.options().session_relevance_bytes,
+              options.session_relevance_bytes);
+    EXPECT_NE(probe.session_relevance(), nullptr);
+    return RunScript(catalog, interests, options, /*rounds=*/4,
+                     /*per_round=*/3);
+  };
+
+  std::vector<std::unique_ptr<ScopedEnv>> env;
+  for (const auto& [name, value] : kOverrides) {
+    env.push_back(std::make_unique<ScopedEnv>(name, nullptr));
+  }
+  const DeploymentTrace clean = run();
+  ASSERT_FALSE(clean.iterations.empty());
+  for (const auto& [name, value] : kOverrides) {
+    SCOPED_TRACE(std::string(name) + "=" + value);
+    const ScopedEnv one(name, value);
+    ExpectSameTrace(clean, run());
+  }
+  for (const auto& [name, value] : kOverrides) {
+    env.push_back(std::make_unique<ScopedEnv>(name, value));
+  }
+  SCOPED_TRACE("all four set");
+  ExpectSameTrace(clean, run());
 }
 
 }  // namespace
